@@ -83,13 +83,78 @@ func TestParallelWorkerInvariance(t *testing.T) {
 	}
 }
 
+// planDeparture finds, on a twin of cfg's simulation, a client whose
+// association flips from one cell to another at a post-warmup handoff tick
+// and then holds the new cell for `hold` consecutive ticks, with the old
+// cell outside an outage just before the flip. Client motion is a pure
+// function of the seed, so the plan holds for every simulation built from
+// cfg; the twin only keeps the real run's position queries monotone.
+func planDeparture(t *testing.T, cfg Config, hold int) (client, from int, at des.Time) {
+	t.Helper()
+	twin, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	period := cfg.Topology.CheckPeriod
+	tick := func(k int) des.Time { return des.Time(0).Add(period * des.Duration(k)) }
+	ticks := int(cfg.Horizon / period)
+	first := int(cfg.Warmup/period) + 1
+	near := make([]int, ticks+1)
+	for i := 0; i < cfg.NumClients; i++ {
+		for k := 1; k <= ticks; k++ {
+			near[k] = twin.topo.NearestCell(i, tick(k))
+		}
+	scan:
+		for k := first; k+hold <= ticks; k++ {
+			a, b := near[k-1], near[k]
+			if a == b || cfg.Fault.InOutage(a, tick(k).Add(-des.Microsecond)) {
+				continue
+			}
+			for j := k; j < k+hold; j++ {
+				if near[j] != b {
+					continue scan
+				}
+			}
+			return i, a, tick(k)
+		}
+	}
+	t.Fatalf("no client leaves a cell for %d ticks", hold)
+	return 0, 0, 0
+}
+
 // TestParallelHandoffActivity asserts the invariance test above actually
 // exercised the cross-lane machinery: handoffs moved timers between lanes,
-// disconnections and recoveries ran, and responses outlived memberships.
+// disconnections and recoveries ran, and a response outlived its
+// destination's cell membership. The last is forced by construction: one
+// microsecond before a planned handoff tick, a barrier event hands the
+// departing client's old cell a request from it, so that cell's downlink
+// holds a response for the client when the handoff fires. Delivery takes at
+// least one airtime, and the client stays away for a minute, so the response
+// must find its destination gone.
 func TestParallelHandoffActivity(t *testing.T) {
 	cfg := parallelChaosConfig(11)
 	cfg.ParallelWorkers = 2
-	sim, r := runMulti(t, cfg)
+	client, from, at := planDeparture(t, cfg, 60)
+	sim, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := false
+	sim.sch.At(at.Add(-des.Microsecond), "test.request", func() {
+		if got := int(sim.ct.cell[client]); got != from {
+			t.Errorf("client %d in cell %d before the planned handoff, want %d", client, got, from)
+			return
+		}
+		sim.cells[from].server.onRequest(client, reqMeta{item: 0}, sim.sch.Now())
+		injected = true
+	})
+	r, err := sim.ExecuteCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !injected {
+		t.Fatal("request was not injected")
+	}
 	if r.Handoffs == 0 {
 		t.Error("no handoffs in a vehicular parallel run")
 	}

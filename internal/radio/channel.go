@@ -81,12 +81,12 @@ type Locator interface {
 //
 // Per-link state is struct-of-arrays keyed by client id: a link's steady
 // state is one int32, one int64, a 32-byte inline rng source and three
-// float64s spread across flat slices, with no per-link heap objects. In
-// drifting mode (mobility or an external locator) every fading chain is
-// built around a 0 dB mean, so all links share one FSMC; in static mode each
-// link keeps its own chain (means differ per link) plus a flattened
-// decode-probability memo. The layout is what lets a multi-cell city-scale
-// replication hold cells×clients links in a few hundred megabytes.
+// float64s spread across flat slices, with no per-link heap objects. Every
+// fading chain is built around a 0 dB mean, so all links share one FSMC and
+// a link's SNR is the chain's representative SNR plus the link's mean; in
+// static mode each link also keeps a flattened decode-probability memo. The
+// layout is what lets a multi-cell city-scale replication hold cells×clients
+// links in a few hundred megabytes.
 type Channel struct {
 	params Params
 	amc    *AMC
@@ -100,11 +100,8 @@ type Channel struct {
 	shadowDB []float64
 	distM    []float64
 
-	// Fading chains: fsmc is the single shared chain in drifting mode (all
-	// links use the 0 dB offset form); fsmcs is the per-link chain table in
-	// static mode. Exactly one of the two is non-nil after init.
-	fsmc  *FSMC
-	fsmcs []*FSMC
+	// fsmc is the single 0 dB fading chain every link shares.
+	fsmc *FSMC
 
 	// pCache memoizes FrameSuccessProb per (link, mcs, state) slot with a
 	// 2-way cache tagged by frame size, flattened to one slice with stride
@@ -207,20 +204,15 @@ func (c *Channel) init(p Params, amc *AMC, n int, src *rng.Source, loc Locator) 
 		c.mob = mob
 	}
 
-	// Under mobility (or an external locator) the fading chain is built
-	// around 0 dB and the drifting path-loss mean is added per query: the
-	// Rayleigh FSMC is scale-invariant in its mean, so the offset form is
-	// exact — and one chain serves every link.
-	c.fsmc, c.fsmcs = nil, nil
-	if c.drifting() {
-		fsmc, err := NewFSMC(0, p.DopplerHz, p.FadingSlot.Seconds(), p.FadingStates)
-		if err != nil {
-			return err
-		}
-		c.fsmc = fsmc
-	} else {
-		c.fsmcs = make([]*FSMC, n)
+	// The fading chain is built around 0 dB and each link's mean (static, or
+	// drifting under mobility or an external locator) is added per query:
+	// the Rayleigh FSMC is scale-invariant in its mean, so the offset form
+	// is exact — and one chain serves every link.
+	fsmc, err := NewFSMC(0, p.DopplerHz, p.FadingSlot.Seconds(), p.FadingStates)
+	if err != nil {
+		return err
 	}
+	c.fsmc = fsmc
 
 	c.pStride = 0
 	if !c.drifting() {
@@ -258,27 +250,9 @@ func (c *Channel) init(p Params, amc *AMC, n int, src *rng.Source, loc Locator) 
 		} else {
 			c.meanDB[i] = p.MeanSNRdB + c.shadowDB[i]
 		}
-		fsmc := c.fsmc
-		if fsmc == nil {
-			f, err := NewFSMC(c.meanDB[i], p.DopplerHz, p.FadingSlot.Seconds(), p.FadingStates)
-			if err != nil {
-				return err
-			}
-			c.fsmcs[i] = f
-			fsmc = f
-		}
 		c.state[i] = int32(fsmc.StationarySample(&c.srcs[i]))
 	}
 	return nil
-}
-
-// fsmcOf reports link i's fading chain: the shared 0 dB chain in drifting
-// mode, the per-link chain otherwise.
-func (c *Channel) fsmcOf(i int) *FSMC {
-	if c.fsmc != nil {
-		return c.fsmc
-	}
-	return c.fsmcs[i]
 }
 
 // drifting reports whether link means move over time (mobility model or
@@ -336,7 +310,7 @@ func (c *Channel) DistanceMAt(i int, t des.Time) float64 {
 func (c *Channel) advance(i int, now des.Time) int {
 	slot := int64(now) / int64(c.params.FadingSlot)
 	if slot > c.lastSlot[i] {
-		c.state[i] = int32(c.fsmcOf(i).Advance(int(c.state[i]), slot-c.lastSlot[i], &c.srcs[i]))
+		c.state[i] = int32(c.fsmc.Advance(int(c.state[i]), slot-c.lastSlot[i], &c.srcs[i]))
 		c.lastSlot[i] = slot
 	}
 	return int(c.state[i])
@@ -344,12 +318,7 @@ func (c *Channel) advance(i int, now des.Time) int {
 
 // SNRdB reports client i's instantaneous SNR at time now.
 func (c *Channel) SNRdB(i int, now des.Time) float64 {
-	st := c.advance(i, now)
-	snr := c.fsmcOf(i).RepSNRdB(st)
-	if c.drifting() {
-		snr += c.MeanSNRdBAt(i, now)
-	}
-	return snr
+	return c.fsmc.RepSNRdB(c.advance(i, now)) + c.MeanSNRdBAt(i, now)
 }
 
 // Snapshot fills and returns a reused buffer with every client's
@@ -383,7 +352,7 @@ func (c *Channel) Decode(i int, now des.Time, mcs int, bits int) bool {
 		case e.bits1:
 			p = e.p1
 		default:
-			p = c.amc.Table[mcs].FrameSuccessProb(c.fsmcs[i].RepSNRdB(st), bits)
+			p = c.amc.Table[mcs].FrameSuccessProb(c.fsmc.RepSNRdB(st)+c.meanDB[i], bits)
 			e.bits1, e.p1 = e.bits0, e.p0
 			e.bits0, e.p0 = int32(bits), p
 		}

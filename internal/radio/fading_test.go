@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -56,7 +57,8 @@ func TestFSMCStrainedFlag(t *testing.T) {
 	if !f.Strained() {
 		t.Fatal("expected strained chain")
 	}
-	// Probabilities must still be valid after clamping.
+	// Probabilities must still be valid after clamping, for one-slot steps
+	// and for skip-ahead gaps alike.
 	r := rng.New(1)
 	state := f.StationarySample(r)
 	for i := 0; i < 10000; i++ {
@@ -65,29 +67,68 @@ func TestFSMCStrainedFlag(t *testing.T) {
 			t.Fatalf("state %d escaped", state)
 		}
 	}
+	g, err := NewFSMC(10, 40, 0.001, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Strained() {
+		t.Fatal("expected strained chain")
+	}
+	state = g.StationarySample(r)
+	for i := 0; i < 100000; i++ {
+		state = g.Advance(state, 1+int64(r.Intn(int(g.mixSlots))), r)
+		if state < 0 || state >= g.States() {
+			t.Fatalf("state %d escaped", state)
+		}
+	}
 }
 
 func TestFSMCStationaryOccupancy(t *testing.T) {
 	// The empirical state occupancy of a long trajectory must converge to
 	// the analytic (uniform) stationary distribution — the key invariant
-	// linking the chain back to Rayleigh statistics.
+	// linking the chain back to Rayleigh statistics. It must hold both for
+	// the one-slot Step and for skip-ahead Advance over random gaps, which
+	// mostly land below the mixing horizon (table draws) and sometimes above
+	// it (stationary resamples).
 	f, err := NewFSMC(18, 6, 0.005, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(42)
-	counts := make([]int, f.States())
-	state := f.StationarySample(r)
-	const steps = 2_000_000
-	for i := 0; i < steps; i++ {
-		state = f.Step(state, r)
-		counts[state]++
+	tests := []struct {
+		name  string
+		steps int
+		next  func(state int, r *rng.Source) int
+	}{
+		{
+			name:  "step",
+			steps: 2_000_000,
+			next:  f.Step,
+		},
+		{
+			name:  "advance-random-gaps",
+			steps: 400_000,
+			next: func(state int, r *rng.Source) int {
+				gap := 1 + int64(r.Intn(int(f.mixSlots+f.mixSlots/4)))
+				return f.Advance(state, gap, r)
+			},
+		},
 	}
-	want := float64(steps) / float64(f.States())
-	for k, c := range counts {
-		if math.Abs(float64(c)-want)/want > 0.08 {
-			t.Errorf("state %d occupancy %d, want ~%.0f", k, c, want)
-		}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			r := rng.New(42)
+			counts := make([]int, f.States())
+			state := f.StationarySample(r)
+			for i := 0; i < tt.steps; i++ {
+				state = tt.next(state, r)
+				counts[state]++
+			}
+			want := float64(tt.steps) / float64(f.States())
+			for k, c := range counts {
+				if math.Abs(float64(c)-want)/want > 0.08 {
+					t.Errorf("state %d occupancy %d, want ~%.0f", k, c, want)
+				}
+			}
+		})
 	}
 }
 
@@ -168,5 +209,235 @@ func TestFSMCTimeCorrelation(t *testing.T) {
 	}
 	if math.Abs(pFar-1.0/8) > 0.03 {
 		t.Errorf("far correlation should be ~1/K: %v", pFar)
+	}
+}
+
+// walkAdvance is the per-slot reference for Advance: one uniform per slot
+// through Step, with the same mixing-horizon cutoff.
+func walkAdvance(f *FSMC, state int, slots int64, r *rng.Source) int {
+	if slots <= 0 {
+		return state
+	}
+	if slots >= f.mixSlots {
+		return f.StationarySample(r)
+	}
+	for ; slots > 0; slots-- {
+		state = f.Step(state, r)
+	}
+	return state
+}
+
+// pkRow computes row `start` of Pᵏ by binary exponentiation of the dense
+// one-slot matrix — a different route from the kernel's slot-by-slot
+// propagation.
+func pkRow(f *FSMC, start int, k int64) []float64 {
+	n := f.States()
+	mul := func(a, b [][]float64) [][]float64 {
+		c := make([][]float64, n)
+		for i := range c {
+			c[i] = make([]float64, n)
+			for l := 0; l < n; l++ {
+				for j := 0; j < n; j++ {
+					c[i][j] += a[i][l] * b[l][j]
+				}
+			}
+		}
+		return c
+	}
+	p := make([][]float64, n)
+	acc := make([][]float64, n)
+	for i := 0; i < n; i++ {
+		p[i] = make([]float64, n)
+		acc[i] = make([]float64, n)
+		acc[i][i] = 1
+		p[i][i] = 1 - f.pSum[i]
+		if i+1 < n {
+			p[i][i+1] = f.pUp[i]
+		}
+		if i > 0 {
+			p[i][i-1] = f.pSum[i] - f.pUp[i]
+		}
+	}
+	for ; k > 0; k >>= 1 {
+		if k&1 == 1 {
+			acc = mul(acc, p)
+		}
+		p = mul(p, p)
+	}
+	return acc[start]
+}
+
+// chiSquareCrit is the upper 10⁻⁴ quantile of χ² with df degrees of freedom
+// (Wilson–Hilferty). Every χ² check here is seeded, so the level only sets
+// how far from the boundary a passing statistic sits.
+func chiSquareCrit(df int) float64 {
+	const z = 3.719
+	d := float64(df)
+	h := 2 / (9 * d)
+	return d * math.Pow(1-h+z*math.Sqrt(h), 3)
+}
+
+type skipCase struct {
+	name  string
+	f     *FSMC
+	k     int64
+	start int
+	walk  bool // cheap enough to compare against the per-slot walker
+}
+
+// skipCases spans gaps k ∈ {1, 2, 10, 100, mixSlots−1} from the edge and
+// middle states of the default chain and of a strained one, plus gaps of a
+// slow chain whose table is capped, so they take chained draws.
+func skipCases(t *testing.T) []skipCase {
+	t.Helper()
+	build := func(meanDB, fd, slot float64, k int) *FSMC {
+		f, err := NewFSMC(meanDB, fd, slot, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	def := build(18, 6, 0.002, 8)
+	strained := build(10, 40, 0.001, 16)
+	slow := build(18, 1, 0.001, 8)
+	if !strained.Strained() || def.Strained() {
+		t.Fatal("case chains in the wrong regime")
+	}
+	if slow.steps >= slow.mixSlots-1 {
+		t.Fatalf("slow chain table not capped: %d steps, mixing at %d", slow.steps, slow.mixSlots)
+	}
+	var cases []skipCase
+	add := func(name string, f *FSMC, walk bool, ks ...int64) {
+		for _, k := range ks {
+			for _, s := range []int{0, f.States() / 2, f.States() - 1} {
+				cases = append(cases, skipCase{
+					name: fmt.Sprintf("%s/k=%d/from=%d", name, k, s),
+					f:    f, k: k, start: s, walk: walk,
+				})
+			}
+		}
+	}
+	add("default", def, true, 1, 2, 10, 100, def.mixSlots-1)
+	add("strained", strained, true, 1, 2, 10, 100, strained.mixSlots-1)
+	add("slow-chained", slow, false, slow.steps+1, slow.mixSlots-1)
+	return cases
+}
+
+func TestFSMCAdvanceMatchesPk(t *testing.T) {
+	const n = 20000
+	for i, tt := range skipCases(t) {
+		t.Run(tt.name, func(t *testing.T) {
+			want := pkRow(tt.f, tt.start, tt.k)
+			counts := make([]int, tt.f.States())
+			r := rng.New(1000 + uint64(i))
+			for j := 0; j < n; j++ {
+				counts[tt.f.Advance(tt.start, tt.k, r)]++
+			}
+			// Pool cells expected below 5 draws; an impossible state drawn
+			// even once fails outright.
+			var stat, poolExp float64
+			poolObs, cells := 0, 0
+			for j, p := range want {
+				exp := p * n
+				switch {
+				case p == 0 && counts[j] > 0:
+					t.Fatalf("state %d drawn %d times, unreachable in %d slots", j, counts[j], tt.k)
+				case exp < 5:
+					poolExp += exp
+					poolObs += counts[j]
+				default:
+					d := float64(counts[j]) - exp
+					stat += d * d / exp
+					cells++
+				}
+			}
+			if poolExp >= 5 {
+				d := float64(poolObs) - poolExp
+				stat += d * d / poolExp
+				cells++
+			}
+			if cells < 2 {
+				return // a near-deterministic row: nothing left to test
+			}
+			if crit := chiSquareCrit(cells - 1); stat > crit {
+				t.Errorf("χ² = %.1f over %d cells exceeds %.1f\ncounts %v\nPᵏ row %v", stat, cells, crit, counts, want)
+			}
+		})
+	}
+}
+
+func TestFSMCAdvanceMatchesWalker(t *testing.T) {
+	const n = 20000
+	for i, tt := range skipCases(t) {
+		if !tt.walk {
+			continue
+		}
+		t.Run(tt.name, func(t *testing.T) {
+			skip := make([]int, tt.f.States())
+			walk := make([]int, tt.f.States())
+			rs, rw := rng.New(2000+uint64(i)), rng.New(3000+uint64(i))
+			for j := 0; j < n; j++ {
+				skip[tt.f.Advance(tt.start, tt.k, rs)]++
+				walk[walkAdvance(tt.f, tt.start, tt.k, rw)]++
+			}
+			// Two-sample χ² for equal sample sizes; sparse cells pooled.
+			var stat float64
+			poolA, poolB, cells := 0, 0, 0
+			for j := range skip {
+				a, b := skip[j], walk[j]
+				if a+b < 10 {
+					poolA += a
+					poolB += b
+					continue
+				}
+				d := float64(a - b)
+				stat += d * d / float64(a+b)
+				cells++
+			}
+			if poolA+poolB >= 10 {
+				d := float64(poolA - poolB)
+				stat += d * d / float64(poolA+poolB)
+				cells++
+			}
+			if cells < 2 {
+				return
+			}
+			if crit := chiSquareCrit(cells - 1); stat > crit {
+				t.Errorf("two-sample χ² = %.1f over %d cells exceeds %.1f\nskip %v\nwalk %v", stat, cells, crit, skip, walk)
+			}
+		})
+	}
+}
+
+// TestFSMCKernelShared: transition probabilities do not depend on the mean
+// SNR, so every chain with the same (Doppler, slot, K) shares one kernel and
+// its skip-ahead table, which stays compact at the default parameters.
+func TestFSMCKernelShared(t *testing.T) {
+	a, err := NewFSMC(18, 6, 0.002, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewFSMC(-3, 6, 0.002, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.kernel != b.kernel {
+		t.Fatal("chains with equal (Doppler, slot, K) built separate kernels")
+	}
+	if d := a.RepSNRdB(3) - b.RepSNRdB(3); math.Abs(d-21) > 1e-9 {
+		t.Fatalf("representative SNRs offset by %v dB, want the 21 dB between means", d)
+	}
+	if a.steps != a.mixSlots-1 {
+		t.Fatalf("default table covers %d gaps, want %d", a.steps, a.mixSlots-1)
+	}
+	if bytes := 4 * len(a.cum); bytes > 150<<10 {
+		t.Fatalf("default skip-ahead table is %d bytes", bytes)
+	}
+	c, err := NewFSMC(18, 30, 0.002, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.kernel == a.kernel {
+		t.Fatal("different Doppler shared a kernel")
 	}
 }

@@ -147,17 +147,7 @@ func (s *Server) actorLoop() {
 				s.queueMax.Store(depth)
 			}
 			if s.opts.WallClock {
-				// Stamp each op at the exact wall microsecond, bumping at
-				// least one past the previous stamp: two ops must never share
-				// a virtual time, or an answer and an update landing in the
-				// same tick window become unorderable — a report's
-				// cached-before-update check and the load harness's truth
-				// store both break on the tie.
-				t := des.Time(time.Since(s.wallStart) / time.Microsecond)
-				if now := s.rt.Now(); t <= now {
-					t = now + 1
-				}
-				_, _ = s.rt.AdvanceTo(t)
+				stampOp(s.rt, des.Time(time.Since(s.wallStart)/time.Microsecond))
 			}
 			fn()
 		case <-tickC:
@@ -169,6 +159,25 @@ func (s *Server) actorLoop() {
 		case <-s.stopped:
 			return
 		}
+	}
+}
+
+// stampOp advances the runtime's clock to a wall-clock operation's stamp:
+// the wall microsecond t, bumped to at least one past the previous stamp and
+// strictly past every report event the advance runs. Two ops must never
+// share a virtual time, or an answer and an update landing in the same tick
+// window become unorderable — a report's cached-before-update check and the
+// load harness's truth store both break on the tie. Nor may an op share a
+// report's time: the report is built before the op runs, and every later
+// report or catch-up whose window starts there covers only updates stamped
+// strictly after it, so an update on the report's microsecond would never be
+// announced. While an advance fires a broadcast, the stamp moves on by one.
+func stampOp(rt *Runtime, t des.Time) {
+	if now := rt.Now(); t <= now {
+		t = now + 1
+	}
+	for n, _ := rt.AdvanceTo(t); n > 0; n, _ = rt.AdvanceTo(t) {
+		t++
 	}
 }
 

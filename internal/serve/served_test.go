@@ -189,3 +189,56 @@ func TestShutdownDrainsInFlightQueries(t *testing.T) {
 		t.Fatalf("farewell report kind %v, want full", r.Kind)
 	}
 }
+
+// TestOpStampFollowsReportOnItsMicrosecond: a wall-clock op whose stamp
+// lands on the exact microsecond of a report event must run strictly after
+// that report, because the report is built first. An update stamped on the
+// report's time would be missing from it and from every later report or
+// catch-up whose window starts there.
+func TestOpStampFollowsReportOnItsMicrosecond(t *testing.T) {
+	rc := DefaultRuntimeConfig()
+	rc.Algo = "ts"
+	rc.DB.UpdateRate = 0 // ingest-only: the test controls every update
+	rc.IR.Interval = 500 * des.Millisecond
+	var reports []ir.Report
+	rt, err := NewRuntime(rc, func(_ int, datagram []byte) {
+		var r ir.Report
+		if _, err := DecodeDatagram(datagram, &r); err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+
+	at := des.Time(0).Add(rc.IR.Interval)
+	stampOp(rt, at)
+	if len(reports) == 0 || reports[len(reports)-1].At != at {
+		t.Fatalf("no report at %v to tie with: %d reports", at, len(reports))
+	}
+	const item = 5
+	upd, err := rt.Inject(item)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upd.AsOf <= at {
+		t.Fatalf("update stamped %v, not after the report at %v", upd.AsOf, at)
+	}
+	lists := func(r *ir.Report) bool {
+		for _, u := range r.Items {
+			if u.ID == item && u.At == upd.AsOf {
+				return true
+			}
+		}
+		return false
+	}
+	if cu := rt.Catchup(at); !lists(cu) {
+		t.Errorf("catch-up since the report omits the update: %+v", cu.Items)
+	}
+	stampOp(rt, at.Add(rc.IR.Interval))
+	if next := &reports[len(reports)-1]; next.At != at.Add(rc.IR.Interval) || !lists(next) {
+		t.Errorf("next report at %v omits the update: %+v", next.At, next.Items)
+	}
+}
