@@ -64,9 +64,11 @@ smoke-served:
 # load-smoke runs the wall-clock load harness at test scale under the race
 # detector: an in-process wdcserved per algorithm, a small client fleet over
 # real UDP and TCP sockets, zero stale answers asserted online, and the
-# same-seed determinism contract (two runs, identical action-stream counts).
+# same-seed determinism contract (two runs, identical action-stream counts),
+# plus one algorithm against a spawned wdcserved binary.
 load-smoke:
-	$(GO) test -race -count=1 ./internal/loadgen
+	$(GO) build -o /tmp/wdcserved ./cmd/wdcserved
+	WDCSERVED_BIN=/tmp/wdcserved $(GO) test -race -count=1 ./internal/loadgen
 
 # check is the pre-commit gate.
 check: build vet race smoke-multicell smoke-parallel smoke-served load-smoke

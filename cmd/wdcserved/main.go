@@ -110,10 +110,12 @@ func main() {
 	if httpLn != nil {
 		addrs.HTTP = httpLn.Addr().String()
 	}
-	_ = json.NewEncoder(os.Stdout).Encode(addrs)
-
+	// Install the handler before announcing readiness: a harness may send
+	// SIGTERM as soon as it reads the address line, and the default action
+	// would kill the daemon without its farewell catch-up report.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	_ = json.NewEncoder(os.Stdout).Encode(addrs)
 	<-sig
 	if httpLn != nil {
 		_ = httpLn.Close()

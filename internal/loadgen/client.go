@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"sync/atomic"
 	"time"
@@ -13,109 +12,9 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/serve"
-	"repro/internal/serve/capabilities"
 	"repro/internal/serve/harness"
 	"repro/internal/workload"
 )
-
-// wireClient is one client's TCP connection to the query plane. The framing
-// mirrors the conformance target's, minus the lock-step machinery: queries
-// and catch-ups, with OpError turned into a Go error.
-type wireClient struct {
-	addr    string
-	timeout time.Duration
-	conn    net.Conn
-	fr      *serve.FrameReader
-}
-
-func dialWire(addr string, timeout time.Duration) (*wireClient, error) {
-	w := &wireClient{addr: addr, timeout: timeout}
-	if err := w.Reconnect(); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// Reconnect (re)dials the query plane, abandoning any previous connection.
-func (w *wireClient) Reconnect() error {
-	if w.conn != nil {
-		_ = w.conn.Close()
-	}
-	conn, err := net.Dial("tcp", w.addr)
-	if err != nil {
-		return err
-	}
-	w.conn = conn
-	w.fr = serve.NewFrameReader(conn)
-	return nil
-}
-
-func (w *wireClient) Close() {
-	if w.conn != nil {
-		_ = w.conn.Close()
-	}
-}
-
-// readFrame reads one response frame, turning OpError into a Go error. The
-// payload aliases the reader's buffer: valid until the next read.
-func (w *wireClient) readFrame() (byte, []byte, error) {
-	_ = w.conn.SetReadDeadline(time.Now().Add(w.timeout))
-	op, payload, err := w.fr.Read()
-	if err != nil {
-		return 0, nil, err
-	}
-	if op == serve.OpError {
-		return 0, nil, fmt.Errorf("loadgen: server error: %s", payload)
-	}
-	return op, payload, nil
-}
-
-// Query runs one item query. The digest, when non-nil, aliases the frame
-// buffer and must be consumed before the next exchange on this client.
-func (w *wireClient) Query(item int) (capabilities.Answer, []byte, error) {
-	var ans capabilities.Answer
-	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	if err := serve.WriteFrame(w.conn, serve.OpQuery, serve.EncodeQuery(item)); err != nil {
-		return ans, nil, err
-	}
-	op, payload, err := w.readFrame()
-	if err != nil {
-		return ans, nil, err
-	}
-	if op != serve.OpAnswer {
-		return ans, nil, fmt.Errorf("loadgen: query answered with op 0x%02x", op)
-	}
-	ans, digestFollows, err := serve.DecodeAnswerFrame(payload)
-	if err != nil || !digestFollows {
-		return ans, nil, err
-	}
-	op, payload, err = w.readFrame()
-	if err != nil {
-		return ans, nil, err
-	}
-	if op != serve.OpReport {
-		return ans, nil, fmt.Errorf("loadgen: digest flag set but op 0x%02x followed", op)
-	}
-	return ans, payload, nil
-}
-
-// Catchup requests the update history since the given consistency point. The
-// report aliases the frame buffer: consume before the next exchange.
-func (w *wireClient) Catchup(since des.Time) ([]byte, error) {
-	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	if err := serve.WriteFrame(w.conn, serve.OpCatchup, serve.EncodeCatchup(since)); err != nil {
-		return nil, err
-	}
-	op, payload, err := w.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	if op != serve.OpReport {
-		return nil, fmt.Errorf("loadgen: catchup answered with op 0x%02x", op)
-	}
-	return payload, nil
-}
 
 // clientStats is one client's contribution to the run result. The
 // deterministic subset (queries, catchups, itemSum) is a function of the
@@ -137,7 +36,7 @@ type clientStats struct {
 type simClient struct {
 	id      int
 	hc      *harness.Client
-	wc      *wireClient
+	wc      *harness.Conn
 	sampler *workload.Sampler
 	action  *rng.Source   // think times, item picks, action choice
 	proto   *rng.Source   // sig draws (via hc.Src) and retry jitter

@@ -30,6 +30,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/serve/capabilities"
+	"repro/internal/serve/harness"
 	"repro/internal/traffic"
 )
 
@@ -251,8 +252,7 @@ func (t *truthStore) observeAnswer(ans capabilities.Answer) {
 // clients against the injector and the signal pusher, merge per-client
 // results in client order. A non-zero stale count is returned as an error —
 // the harness's online assertion of the paper's invariant.
-func Run(cfg Config) (Result, error) {
-	var res Result
+func Run(cfg Config) (res Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return res, err
 	}
@@ -261,16 +261,15 @@ func Run(cfg Config) (Result, error) {
 		mon = &obs.LoadMonitor{}
 	}
 
-	udp, err := dialUDP()
+	tgt, err := harness.Launch(cfg.Bin, cfg.runtimeConfig(), true, cfg.IOTimeout)
 	if err != nil {
 		return res, err
 	}
-	defer udp.Close()
-	tgt, err := startTarget(&cfg, cfg.runtimeConfig(), udp.LocalAddr().String())
-	if err != nil {
-		return res, err
-	}
-	defer tgt.close()
+	defer func() {
+		if cerr := tgt.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	truth := newTruthStore(cfg.NumItems)
 	zipf := rng.NewZipf(cfg.NumItems, cfg.Zipf)
@@ -286,7 +285,7 @@ func Run(cfg Config) (Result, error) {
 		clients[i] = sc
 	}
 	for _, sc := range clients {
-		wc, err := dialWire(tgt.tcpAddr, cfg.IOTimeout)
+		wc, err := harness.Dial(tgt.TCPAddr(), cfg.IOTimeout)
 		if err != nil {
 			return res, fmt.Errorf("loadgen: dial client %d: %w", sc.id, err)
 		}
@@ -299,7 +298,7 @@ func Run(cfg Config) (Result, error) {
 	distDone.Add(1)
 	go func() {
 		defer distDone.Done()
-		distribute(udp, chans, drops, mon)
+		distribute(tgt.UDP(), chans, drops, mon)
 	}()
 
 	start := time.Now()
@@ -316,7 +315,7 @@ func Run(cfg Config) (Result, error) {
 	injErr := make(chan error, 1)
 	var injects int64
 	go func() {
-		n, err := runInjector(&cfg, tgt.ctl, truth, mon)
+		n, err := runInjector(&cfg, tgt, truth, mon)
 		injects = n
 		injErr <- err
 	}()
@@ -324,7 +323,7 @@ func Run(cfg Config) (Result, error) {
 	var signals int64
 	var frames uint64
 	go func() {
-		n, f, err := runSignals(&cfg, tgt.ctl, mon)
+		n, f, err := runSignals(&cfg, tgt, mon)
 		signals, frames = n, f
 		sigErr <- err
 	}()
@@ -338,14 +337,14 @@ func Run(cfg Config) (Result, error) {
 	}
 	elapsed := time.Since(start)
 
-	st, err := tgt.ctl.status()
+	st, err := tgt.Status()
 	if err != nil {
 		return res, err
 	}
 
 	// Stop the broadcast plane so the distributor exits before we read the
 	// drop counters.
-	udp.Close()
+	tgt.UDP().Close()
 	distDone.Wait()
 
 	res = Result{
@@ -414,7 +413,7 @@ func distribute(udp *net.UDPConn, chans []chan []byte, drops []atomic.Int64, mon
 // runInjector drives the database: cfg.Injects updates, exponentially spaced
 // to span the fleet's expected run, items and gaps drawn from the dedicated
 // injector stream so the count and item sequence are deterministic.
-func runInjector(cfg *Config, ctl *control, truth *truthStore, mon *obs.LoadMonitor) (int64, error) {
+func runInjector(cfg *Config, ctl *harness.Target, truth *truthStore, mon *obs.LoadMonitor) (int64, error) {
 	if cfg.Injects == 0 {
 		return 0, nil
 	}
@@ -426,7 +425,7 @@ func runInjector(cfg *Config, ctl *control, truth *truthStore, mon *obs.LoadMoni
 		time.Sleep(des.FromSeconds(src.Exp(rate)).Std())
 		item := src.Intn(cfg.NumItems)
 		truth.beginInject(item)
-		ans, err := ctl.inject(item)
+		ans, err := ctl.Inject(item)
 		if err != nil {
 			truth.settle(item, 0, 0)
 			return done, err
@@ -443,7 +442,7 @@ func runInjector(cfg *Config, ctl *control, truth *truthStore, mon *obs.LoadMoni
 // generator pumped over a private virtual clock, one window per push. The
 // push count, SNR values and frame count are deterministic; only the wall
 // instants the pushes land at vary.
-func runSignals(cfg *Config, ctl *control, mon *obs.LoadMonitor) (int64, uint64, error) {
+func runSignals(cfg *Config, ctl *harness.Target, mon *obs.LoadMonitor) (int64, uint64, error) {
 	if cfg.Signals == 0 {
 		return 0, 0, nil
 	}
@@ -474,7 +473,7 @@ func runSignals(cfg *Config, ctl *control, mon *obs.LoadMonitor) (int64, uint64,
 		for i := range snrs {
 			snrs[i] = src.Uniform(5, 30)
 		}
-		if err := ctl.setSignals(snrs, load); err != nil {
+		if err := ctl.SetSignals(snrs, load); err != nil {
 			return done, gen.GeneratedFrames(), err
 		}
 		done++

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -66,6 +67,36 @@ func TestSameSeedCountsIdentical(t *testing.T) {
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
+	}
+	b, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if a.Counts != b.Counts {
+		t.Fatalf("same-seed counts differ:\n  first  %+v\n  second %+v", a.Counts, b.Counts)
+	}
+}
+
+// TestSpawnedBinary runs the harness against a spawned wdcserved when
+// WDCSERVED_BIN names a built one (make load-smoke sets it): zero stale
+// answers across a real process boundary, a clean exit on SIGTERM, and the
+// same-seed counts contract of TestSameSeedCountsIdentical.
+func TestSpawnedBinary(t *testing.T) {
+	bin := os.Getenv("WDCSERVED_BIN")
+	if bin == "" {
+		t.Skip("WDCSERVED_BIN not set")
+	}
+	cfg := smokeConfig("hybrid", 6)
+	cfg.Bin = bin
+	a, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	if a.Stale != 0 {
+		t.Fatalf("stale answers: %d", a.Stale)
+	}
+	if a.Counts.Queries == 0 || a.Counts.Injects != int64(cfg.Injects) {
+		t.Fatalf("run did not exercise the planes: %+v", a.Counts)
 	}
 	b, err := Run(cfg)
 	if err != nil {

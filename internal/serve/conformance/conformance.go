@@ -1,8 +1,16 @@
+// Package conformance drives a live wdcserved instance in virtual-time
+// lock-step against an in-process serve.Runtime and asserts the two are the
+// same engine: byte-identical report datagrams per clock advance,
+// byte-identical query answers, piggyback digests and catch-up reports, and
+// — through a fleet of harness clients mirroring the core's cache protocol —
+// zero stale answers. The DES-style model is the oracle; the network server
+// is the system under test, reached through harness.Target and harness.Conn.
 package conformance
 
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"time"
 
 	"repro/internal/des"
@@ -96,8 +104,7 @@ func (o modelOracle) VersionedAt(id int) (uint64, des.Time) {
 // fields, digest bytes, catch-up bytes — must match exactly. Harness clients
 // consume the target's datagrams (through chaos, if configured) and are
 // swept for stale entries after every step.
-func Run(cfg Config) (Result, error) {
-	var res Result
+func Run(cfg Config) (res Result, err error) {
 	if cfg.Steps <= 0 || cfg.Clients <= 0 {
 		return res, fmt.Errorf("conformance: Steps %d, Clients %d", cfg.Steps, cfg.Clients)
 	}
@@ -112,16 +119,20 @@ func Run(cfg Config) (Result, error) {
 	}
 	model.Start()
 
-	var tgt *Target
-	if cfg.Bin != "" {
-		tgt, err = NewSubprocessTarget(cfg.Bin, rc, cfg.IOTimeout)
-	} else {
-		tgt, err = NewInProcessTarget(rc, cfg.IOTimeout)
-	}
+	tgt, err := harness.Launch(cfg.Bin, rc, false, cfg.IOTimeout)
 	if err != nil {
 		return res, err
 	}
-	defer tgt.Close()
+	defer func() {
+		if cerr := tgt.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	conn, err := harness.Dial(tgt.TCPAddr(), readDeadline)
+	if err != nil {
+		return res, err
+	}
+	defer conn.Close()
 
 	oracle := modelOracle{model}
 	clients := make([]*harness.Client, cfg.Clients)
@@ -132,6 +143,7 @@ func Run(cfg Config) (Result, error) {
 	sched := rng.Stream(cfg.Seed, "conf-schedule")
 	chaos := rng.Stream(cfg.Seed, "conf-chaos")
 
+	buf := make([]byte, 1<<16)
 	now := des.Time(0)
 	for step := 0; step < cfg.Steps; step++ {
 		now = now.Add(des.FromSeconds(sched.Uniform(0.01, 0.12)))
@@ -148,7 +160,7 @@ func Run(cfg Config) (Result, error) {
 			return res, fmt.Errorf("conformance: step %d [%s]: served %d broadcasts, model produced %d",
 				step, cfg.Algo, served, produced)
 		}
-		grams, err := tgt.ReadDatagrams(produced)
+		grams, err := readDatagrams(tgt.UDP(), buf, produced)
 		if err != nil {
 			return res, err
 		}
@@ -183,7 +195,7 @@ func Run(cfg Config) (Result, error) {
 		}
 
 		// One client/control action per step, mirrored to both engines.
-		if err := applyStep(cfg, &res, sched, chaos, tgt, model, clients, oracle, rc.DB.NumItems); err != nil {
+		if err := applyStep(cfg, &res, sched, chaos, tgt, conn, model, clients, oracle, rc.DB.NumItems); err != nil {
 			return res, fmt.Errorf("conformance: step %d [%s]: %w", step, cfg.Algo, err)
 		}
 
@@ -196,6 +208,28 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// readDeadline bounds every client-side read against the target. A
+// conforming server responds in microseconds, so hitting it means the server
+// lost a frame or a datagram it owed us. It stays well above the server IO
+// timeouts chaos runs use, so a stalled frame waits for the server's cut.
+const readDeadline = 10 * time.Second
+
+// readDatagrams collects exactly n broadcast datagrams from the UDP plane,
+// copied out of buf. The lock-step protocol makes n exact: Advance already
+// reported how many the server owes.
+func readDatagrams(udp *net.UDPConn, buf []byte, n int) ([][]byte, error) {
+	out := make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		_ = udp.SetReadDeadline(time.Now().Add(readDeadline))
+		m, _, err := udp.ReadFromUDP(buf)
+		if err != nil {
+			return out, fmt.Errorf("conformance: datagram %d/%d: %w", i+1, n, err)
+		}
+		out = append(out, append([]byte(nil), buf[:m]...))
+	}
+	return out, nil
 }
 
 // sampleFate draws one delivery fate for a datagram-client pair.
@@ -214,14 +248,16 @@ func sampleFate(ch *Chaos, src *rng.Source) fault.Fate {
 }
 
 // applyStep performs one mirrored action: an item query over TCP, an update
-// injection, a signals push, or a catch-up exchange.
-func applyStep(cfg Config, res *Result, sched, chaos *rng.Source, tgt *Target,
+// injection, a signals push, or a catch-up exchange. Digests and catch-up
+// reports alias conn's frame buffer, so each is compared and processed
+// before the next exchange.
+func applyStep(cfg Config, res *Result, sched, chaos *rng.Source, tgt *harness.Target, conn *harness.Conn,
 	model *serve.Runtime, clients []*harness.Client, oracle harness.Truth, numItems int) error {
 	switch pick := sched.Float64(); {
 	case pick < 0.55: // query
 		c := clients[sched.Intn(len(clients))]
 		item := sched.Intn(numItems)
-		ans, digest, err := queryWithChaos(cfg.Chaos, res, chaos, tgt, item)
+		ans, digest, err := queryWithChaos(cfg.Chaos, res, chaos, conn, item)
 		if err != nil {
 			return err
 		}
@@ -270,7 +306,7 @@ func applyStep(cfg Config, res *Result, sched, chaos *rng.Source, tgt *Target,
 		model.SetSignals(snrs, load)
 	default: // catch-up exchange
 		c := clients[sched.Intn(len(clients))]
-		raw, err := tgt.Catchup(c.State.LastConsistent)
+		raw, err := conn.Catchup(c.State.LastConsistent)
 		if err != nil {
 			return err
 		}
@@ -288,19 +324,18 @@ func applyStep(cfg Config, res *Result, sched, chaos *rng.Source, tgt *Target,
 
 // queryWithChaos optionally stalls the query frame first, waits for the
 // server's IO deadline to cut the connection, and retries on a fresh one
-// with the fault layer's bounded-exponential backoff.
-func queryWithChaos(ch *Chaos, res *Result, src *rng.Source, tgt *Target, item int) (capabilities.Answer, []byte, error) {
+// with the fault layer's bounded-exponential backoff (no jitter, so the
+// chaos stream takes no extra draw).
+func queryWithChaos(ch *Chaos, res *Result, src *rng.Source, conn *harness.Conn, item int) (capabilities.Answer, []byte, error) {
 	if ch != nil && src.Bool(ch.TimeoutProb) {
-		if err := tgt.StallFrame(); err != nil {
+		if err := conn.StallFrame(); err != nil {
 			return capabilities.Answer{}, nil, err
 		}
-		if err := tgt.Reconnect(); err != nil {
+		if err := conn.Reconnect(); err != nil {
 			return capabilities.Answer{}, nil, err
 		}
 		res.Retries++
-		if base := ch.RetryBase; base > 0 {
-			time.Sleep(base << uint(min(res.Retries, 6)))
-		}
+		time.Sleep(fault.Backoff(des.Duration(ch.RetryBase/time.Microsecond), res.Retries, 0).Std())
 	}
-	return tgt.Query(item)
+	return conn.Query(item)
 }

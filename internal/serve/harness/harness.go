@@ -3,9 +3,12 @@
 // run — ir.ClientState over a cache.Cache, the put guard that keeps an
 // in-flight answer from re-entering a cache a report has already moved past,
 // and the staleness sweep that checks every cached entry against ground
-// truth. Both served-mode drivers are built from it: the virtual-time
-// conformance oracle (internal/serve/conformance) and the wall-clock load
-// harness (internal/loadgen).
+// truth. It also holds the one way to reach a served engine: Target launches
+// the server (in process, or a spawned wdcserved) and drives its control
+// plane, and Conn carries one client's query-plane exchanges. Both
+// served-mode drivers are built from it: the virtual-time conformance oracle
+// (internal/serve/conformance) and the wall-clock load harness
+// (internal/loadgen).
 package harness
 
 import (
