@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: help build test vet race smoke-multicell smoke-parallel smoke-served load-smoke check sweep bench bench-smoke bench-json bench-city bench-load soak fuzz-smoke soak-served soak-load
+.PHONY: help build fmt test vet race smoke-multicell smoke-parallel smoke-served load-smoke check sweep bench bench-smoke bench-json bench-city bench-load soak fuzz-smoke soak-served soak-load
 
 # help lists the public targets. check is the pre-commit gate; soak is the
 # nightly chaos run and is deliberately NOT part of check.
 help:
 	@echo "build           compile everything"
+	@echo "fmt             fail when any Go file is not gofmt-clean"
 	@echo "test            run the unit suite"
 	@echo "vet             go vet"
 	@echo "race            race-detector pass over the concurrent packages"
@@ -13,7 +14,7 @@ help:
 	@echo "smoke-parallel  epoch-parallel engine smoke under -race: chaos at P=1 vs P=NumCPU"
 	@echo "smoke-served    wdcserved conformance under -race: DES model as lock-step oracle"
 	@echo "load-smoke      wall-clock load harness smoke under -race: small fleets, all algorithms"
-	@echo "check           pre-commit gate: build + vet + race + smoke-multicell + smoke-parallel + smoke-served + load-smoke"
+	@echo "check           pre-commit gate: build + fmt + vet + race + smoke-multicell + smoke-parallel + smoke-served + load-smoke"
 	@echo "sweep           regenerate the full evaluation into results/"
 	@echo "bench           full benchmark archive run"
 	@echo "bench-smoke     CI-sized benchmark subset"
@@ -27,6 +28,10 @@ help:
 
 build:
 	$(GO) build ./...
+
+# fmt fails, listing the offenders, when any Go file is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -71,7 +76,7 @@ load-smoke:
 	WDCSERVED_BIN=/tmp/wdcserved $(GO) test -race -count=1 ./internal/loadgen
 
 # check is the pre-commit gate.
-check: build vet race smoke-multicell smoke-parallel smoke-served load-smoke
+check: build fmt vet race smoke-multicell smoke-parallel smoke-served load-smoke
 
 # sweep regenerates the full evaluation into results/ (resumable).
 sweep: build

@@ -25,6 +25,8 @@ import (
 	"repro/internal/ir"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/radio"
+	"repro/internal/rng"
 )
 
 // benchBase is the reduced-scale configuration the benchmarks run.
@@ -224,6 +226,52 @@ func BenchmarkReportDecode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/decode")
+}
+
+// BenchmarkChannelDecode measures the radio layer's share of the downlink
+// fan-out: one frame decoded by every link of a static (memoized) 100-link
+// channel, at the frame sizes and MCSs the fan-out sends — piggybacked digest
+// heads of several lengths at the robust MCS, reports at a mid MCS and item
+// responses at a fast one — with the fading clock advancing one slot per
+// frame. "ns/decode" is the cost of one Channel.Decode.
+func BenchmarkChannelDecode(b *testing.B) {
+	const links = 100
+	cfg := core.DefaultConfig()
+	c, err := radio.New(cfg.Channel, radio.DefaultAMC(), links, rng.Stream(1, "bench-decode"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	type frame struct{ mcs, bits int }
+	var frames []frame
+	for k := 1; k <= 8; k++ {
+		digest := ir.HeaderBits + k*ir.PerItemBits
+		frames = append(frames,
+			frame{0, cfg.Downlink.HeaderBits + digest}, // piggyback head
+			frame{2, digest}, // report
+			frame{4, cfg.DB.ItemBits + cfg.ResponseOverheadBits}, // item response
+		)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := frames[i%len(frames)]
+		now := des.Time(i) * des.Time(cfg.Channel.FadingSlot)
+		for id := 0; id < links; id++ {
+			c.Decode(id, now, f.mcs, f.bits)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*links), "ns/decode")
+}
+
+// BenchmarkZipfSample measures one query's item draw: Zipf(0.8) over the
+// default 1,000-item database.
+func BenchmarkZipfSample(b *testing.B) {
+	r := rng.New(1)
+	z := rng.NewZipf(1000, 0.8)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += z.Sample(r)
+	}
+	_ = sink
 }
 
 // BenchmarkTracerOverhead measures the simulator at the tracer's three

@@ -53,15 +53,22 @@ func (m MCS) BER(snrDB float64) float64 {
 	return ber
 }
 
+// LogBitSuccess reports log(1 − BER(snrDB)), the natural log of one bit's
+// success probability. It lies in [log 0.5, 0] and is −0 when the BER
+// underflows to zero.
+func (m MCS) LogBitSuccess(snrDB float64) float64 {
+	// log1p for numerical stability at tiny BER.
+	return math.Log1p(-m.BER(snrDB))
+}
+
 // FrameSuccessProb reports the probability that a frame of the given number
-// of information bits decodes, assuming independent bit errors.
+// of information bits decodes, assuming independent bit errors:
+// (1−BER)^bits, evaluated as exp(bits·LogBitSuccess).
 func (m MCS) FrameSuccessProb(snrDB float64, bits int) float64 {
 	if bits <= 0 {
 		return 1
 	}
-	ber := m.BER(snrDB)
-	// (1-ber)^bits via exp/log1p for numerical stability at tiny BER.
-	return math.Exp(float64(bits) * math.Log1p(-ber))
+	return math.Exp(float64(bits) * m.LogBitSuccess(snrDB))
 }
 
 // FromDB converts decibels to a linear power ratio.

@@ -61,12 +61,10 @@ func DefaultParams() Params {
 	}
 }
 
-// pEntry is one (mcs, state) slot of the decode-probability cache: two ways,
-// MRU first, tagged by frame bits (always positive, so 0 means empty).
-type pEntry struct {
-	bits0, bits1 int32
-	p0, p1       float64
-}
+// lEmpty marks an unfilled decode-memo slot. A per-bit log success is never
+// positive, and −0 (BER underflow) is a common, legal value, so the marker
+// must be a positive number rather than 0.
+const lEmpty = 1.0
 
 // Locator supplies externally owned client positions as distances to this
 // channel's base station, for deployments (multi-cell grids) where placement
@@ -84,7 +82,7 @@ type Locator interface {
 // float64s spread across flat slices, with no per-link heap objects. Every
 // fading chain is built around a 0 dB mean, so all links share one FSMC and
 // a link's SNR is the chain's representative SNR plus the link's mean; in
-// static mode each link also keeps a flattened decode-probability memo. The
+// static mode each link also keeps a flattened per-bit log-success memo. The
 // layout is what lets a multi-cell city-scale replication hold cells×clients
 // links in a few hundred megabytes.
 type Channel struct {
@@ -103,14 +101,16 @@ type Channel struct {
 	// fsmc is the single 0 dB fading chain every link shares.
 	fsmc *FSMC
 
-	// pCache memoizes FrameSuccessProb per (link, mcs, state) slot with a
-	// 2-way cache tagged by frame size, flattened to one slice with stride
-	// pStride per link. Without mobility a link's instantaneous SNR takes
-	// only K discrete values (one per fading state), so the exp/pow chain
-	// behind each decode probability is worth computing once. Nil in
-	// drifting mode, where the SNR drifts continuously.
-	pCache  []pEntry
-	pStride int
+	// lCache memoizes MCS.LogBitSuccess per (link, mcs, state) slot,
+	// flattened to one slice with stride lStride per link. Without mobility
+	// a link's instantaneous SNR takes only K discrete values (one per
+	// fading state), so the pow/exp/log1p chain behind the per-bit log
+	// success is computed once per slot; each decode then costs one
+	// exp(bits·L), the exact expression FrameSuccessProb evaluates. Slots
+	// hold lEmpty until first use. Nil in drifting mode, where the SNR
+	// drifts continuously.
+	lCache  []float64
+	lStride int
 
 	snrBuf []float64
 	mob    *mobility.Model
@@ -127,8 +127,8 @@ func New(p Params, amc *AMC, n int, src *rng.Source) (*Channel, error) {
 // NewWithLocator is New with client distances supplied by an external
 // locator instead of the channel's own placement or mobility model. A
 // non-nil locator requires geometry mode and excludes Params.Mobility; like
-// mobility, it makes each link's mean SNR drift, so the decode-probability
-// memoization is disabled. A nil locator is exactly New.
+// mobility, it makes each link's mean SNR drift, so the decode memo is
+// disabled. A nil locator is exactly New.
 func NewWithLocator(p Params, amc *AMC, n int, src *rng.Source, loc Locator) (*Channel, error) {
 	c := &Channel{}
 	if err := c.init(p, amc, n, src, loc); err != nil {
@@ -138,10 +138,10 @@ func NewWithLocator(p Params, amc *AMC, n int, src *rng.Source, loc Locator) (*C
 }
 
 // Reset re-initializes the channel in place for a new replication, reusing
-// the per-link tables (link array, SNR buffer, decode-probability caches)
-// when the population shape is unchanged. The channel realization drawn from
-// src is identical to what New would produce: Reset makes exactly the same
-// draws in the same order.
+// the per-link tables (link array, SNR buffer, decode memo) when the
+// population shape is unchanged. The channel realization drawn from src is
+// identical to what New would produce: Reset makes exactly the same draws in
+// the same order.
 func (c *Channel) Reset(p Params, amc *AMC, n int, src *rng.Source) error {
 	return c.init(p, amc, n, src, nil)
 }
@@ -214,20 +214,19 @@ func (c *Channel) init(p Params, amc *AMC, n int, src *rng.Source, loc Locator) 
 	}
 	c.fsmc = fsmc
 
-	c.pStride = 0
+	c.lStride = 0
 	if !c.drifting() {
-		c.pStride = len(amc.Table) * p.FadingStates
+		c.lStride = len(amc.Table) * p.FadingStates
 	}
-	if total := n * c.pStride; total > 0 {
-		if len(c.pCache) == total {
-			for j := range c.pCache {
-				c.pCache[j] = pEntry{}
-			}
-		} else {
-			c.pCache = make([]pEntry, total)
+	if total := n * c.lStride; total > 0 {
+		if len(c.lCache) != total {
+			c.lCache = make([]float64, total)
+		}
+		for j := range c.lCache {
+			c.lCache[j] = lEmpty
 		}
 	} else {
-		c.pCache = nil
+		c.lCache = nil
 	}
 
 	placement := src.SubStream(0)
@@ -341,22 +340,17 @@ func (c *Channel) SelectMCS(i int, now des.Time) (idx int, snrDB float64) {
 
 // Decode draws whether client i successfully decodes a frame of `bits`
 // information bits sent at MCS index mcs, given its channel state at `now`.
+// In static mode the success probability is exp(bits·L) from the memoized
+// per-bit log success L, the expression FrameSuccessProb evaluates, so the
+// draws are the same bit for bit; bits ≤ 0 gives p ≥ 1, which draws nothing.
 func (c *Channel) Decode(i int, now des.Time, mcs int, bits int) bool {
 	st := c.advance(i, now)
-	if c.pCache != nil {
-		e := &c.pCache[i*c.pStride+mcs*c.params.FadingStates+st]
-		var p float64
-		switch int32(bits) {
-		case e.bits0:
-			p = e.p0
-		case e.bits1:
-			p = e.p1
-		default:
-			p = c.amc.Table[mcs].FrameSuccessProb(c.fsmc.RepSNRdB(st)+c.meanDB[i], bits)
-			e.bits1, e.p1 = e.bits0, e.p0
-			e.bits0, e.p0 = int32(bits), p
+	if c.lCache != nil {
+		l := &c.lCache[i*c.lStride+mcs*c.params.FadingStates+st]
+		if *l == lEmpty {
+			*l = c.amc.Table[mcs].LogBitSuccess(c.fsmc.RepSNRdB(st) + c.meanDB[i])
 		}
-		return c.srcs[i].Bool(p)
+		return c.srcs[i].Bool(math.Exp(float64(bits) * *l))
 	}
 	snr := c.fsmc.RepSNRdB(st) + c.MeanSNRdBAt(i, now)
 	p := c.amc.Table[mcs].FrameSuccessProb(snr, bits)

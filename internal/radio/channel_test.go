@@ -264,3 +264,94 @@ func TestChannelMobilityRequiresGeometry(t *testing.T) {
 		t.Fatal("mobility without geometry accepted")
 	}
 }
+
+// TestDecodeMatchesFrameSuccessProb checks the static-mode decode memo
+// against the unmemoized definition: for every MCS, fading state and frame
+// size, Decode must make the same draw, with the same outcome, as
+// Bool(FrameSuccessProb(...)) from a clone of the link's source. Each link
+// sits at one mean SNR, from a deep fade up to where the BER underflows to
+// zero (p = 1, no draw); the first frame size per slot fills the memo and
+// the rest read it.
+func TestDecodeMatchesFrameSuccessProb(t *testing.T) {
+	means := []float64{-30, -10, 0, 10, 20, 30, 45, 200}
+	const underflow = 200 // every MCS and state: BER = 0, L = −0
+	// 128 is the MAC's default frame header; 0 means p = 1 with no draw.
+	sizes := []int{4096, 0, 1, 128, 12000}
+	p := DefaultParams()
+	p.ShadowSigmaDB = 0
+	c := testChannel(t, p, len(means), 21)
+	draws, skips := 0, 0
+	for i, mean := range means {
+		c.meanDB[i] = mean
+		for mcs, m := range c.amc.Table {
+			for st := 0; st < p.FadingStates; st++ {
+				c.state[i] = int32(st) // time 0 stays in slot 0: no advance
+				snr := c.fsmc.RepSNRdB(st) + mean
+				for _, bits := range sizes {
+					before := c.srcs[i]
+					ref := before
+					want := ref.Bool(m.FrameSuccessProb(snr, bits))
+					got := c.Decode(i, 0, mcs, bits)
+					if got != want || c.srcs[i] != ref {
+						t.Fatalf("mean %v mcs %d state %d bits %d: Decode %v, Bool(FrameSuccessProb) %v (same source state: %v)",
+							mean, mcs, st, bits, got, want, c.srcs[i] == ref)
+					}
+					if c.srcs[i] == before {
+						skips++
+					} else {
+						draws++
+					}
+				}
+				l := c.lCache[i*c.lStride+mcs*p.FadingStates+st]
+				if mean == underflow && (l != 0 || !math.Signbit(l)) {
+					t.Fatalf("mcs %d state %d at %v dB: memo holds %v, want −0", mcs, st, mean, l)
+				}
+			}
+		}
+	}
+	// Both paths must have run: draws in (0, 1) and no-draw p ∈ {0, 1}.
+	if draws == 0 || skips == 0 {
+		t.Fatalf("draws %d, no-draw decodes %d: a path went unexercised", draws, skips)
+	}
+}
+
+// TestChannelResetClearsDecodeMemo fills every decode-memo slot of a
+// channel at 0 dB, resets it to 30 dB with the same population size (so the
+// memo's backing slice is reused), and requires exactly the draws and
+// outcomes of a channel built fresh at 30 dB. A memo slot surviving the
+// reset would serve a 0 dB log success: at 30 dB the robust MCS decodes
+// with p = 1 and no draw, at 0 dB with p < 1 and a draw.
+func TestChannelResetClearsDecodeMemo(t *testing.T) {
+	const n = 16
+	p := DefaultParams()
+	p.ShadowSigmaDB = 0
+	p.MeanSNRdB = 0
+	used := testChannel(t, p, n, 31)
+	for i := 0; i < n; i++ {
+		for mcs := range used.amc.Table {
+			for st := 0; st < p.FadingStates; st++ {
+				used.state[i] = int32(st)
+				used.Decode(i, 0, mcs, 4096)
+			}
+		}
+	}
+	for j, l := range used.lCache {
+		if l == lEmpty {
+			t.Fatalf("memo slot %d unfilled after use", j)
+		}
+	}
+	p.MeanSNRdB = 30
+	if err := used.Reset(p, DefaultAMC(), n, rng.Stream(31, "chan")); err != nil {
+		t.Fatal(err)
+	}
+	fresh := testChannel(t, p, n, 31)
+	for k := 0; k < 2000; k++ {
+		at := des.Time(k) * des.Time(7*des.Millisecond)
+		i, mcs := k%n, k%len(fresh.amc.Table)
+		bits := 128 + 64*(k%50)
+		if got, want := used.Decode(i, at, mcs, bits), fresh.Decode(i, at, mcs, bits); got != want || used.srcs[i] != fresh.srcs[i] {
+			t.Fatalf("decode %d (link %d, mcs %d, %d bits): reset channel %v, fresh %v (same source state: %v)",
+				k, i, mcs, bits, got, want, used.srcs[i] == fresh.srcs[i])
+		}
+	}
+}

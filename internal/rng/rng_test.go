@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -243,6 +244,50 @@ func TestZipfEmpiricalMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// TestZipfGuideMatchesBinarySearch checks the guide-table lookup against a
+// binary search of the same CDF at the points where they could disagree:
+// every CDF value, both its float neighbours, every bucket edge j/m and the
+// float just below it, plus the uniforms Sample itself draws. Sizes cover
+// n = 1, powers of two and their neighbours (m = n and m ≈ 2n).
+func TestZipfGuideMatchesBinarySearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1000, 1024, 1025} {
+		for _, theta := range []float64{0, 0.8, 1.2} {
+			z := NewZipf(n, theta)
+			m := len(z.guide) - 1
+			if m < n || m&(m-1) != 0 || (m > 1 && m/2 >= n) {
+				t.Fatalf("n=%d: %d buckets, want the smallest power of two ≥ n", n, m)
+			}
+			check := func(u float64) {
+				t.Helper()
+				if u < 0 || u >= 1 {
+					return // outside Float64's range
+				}
+				if got, want := z.search(u), sort.SearchFloat64s(z.cdf, u); got != want {
+					t.Fatalf("n=%d theta=%v u=%v: guide %d, binary search %d", n, theta, u, got, want)
+				}
+			}
+			for _, c := range z.cdf {
+				check(c)
+				check(math.Nextafter(c, 0))
+				check(math.Nextafter(c, 2))
+			}
+			for j := 0; j <= m; j++ {
+				edge := float64(j) / float64(m)
+				check(edge)
+				check(math.Nextafter(edge, -1))
+			}
+			r := New(uint64(n)*10 + uint64(theta*10))
+			for i := 0; i < 20000; i++ {
+				ref := *r
+				got := z.Sample(r)
+				if want := sort.SearchFloat64s(z.cdf, ref.Float64()); got != want {
+					t.Fatalf("n=%d theta=%v draw %d: Sample %d, binary search %d", n, theta, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDiscrete(t *testing.T) {
 	d := NewDiscrete([]float64{1, 0, 3})
 	r := New(9)
@@ -312,16 +357,6 @@ func BenchmarkUint64(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += r.Uint64()
-	}
-	_ = sink
-}
-
-func BenchmarkZipfSample(b *testing.B) {
-	r := New(1)
-	z := NewZipf(1000, 0.8)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += z.Sample(r)
 	}
 	_ = sink
 }

@@ -10,11 +10,17 @@ import (
 // 0.8–1.0 is the conventional "web-like" skew used throughout the wireless
 // data-caching literature.
 //
-// Sampling uses a precomputed CDF with binary search: O(n) memory once,
-// O(log n) per draw, exact for any theta ≥ 0 (unlike rejection samplers that
-// require theta > 1).
+// Sampling inverts a precomputed CDF, exact for any theta ≥ 0 (unlike
+// rejection samplers that require theta > 1), through a guide table (Chen and
+// Asau's index): m buckets, m the smallest power of two ≥ n, where guide[j]
+// is the first index whose CDF value is ≥ j/m. A uniform u falls in bucket
+// int(u·m), and the answer lies in [guide[j], guide[j+1]], so a draw scans
+// at most 1 + n/m ≤ 2 CDF entries on average. Because m is a power of two,
+// u·m and j/m are exact, and Sample returns the same index as a binary search
+// of the CDF for every u. Memory is O(n), built once.
 type Zipf struct {
 	cdf   []float64
+	guide []int32 // length m+1
 	theta float64
 }
 
@@ -38,7 +44,19 @@ func NewZipf(n int, theta float64) *Zipf {
 		cdf[k] *= inv
 	}
 	cdf[n-1] = 1 // guard against rounding leaving the tail short of 1
-	return &Zipf{cdf: cdf, theta: theta}
+	m := 1
+	for m < n {
+		m <<= 1
+	}
+	guide := make([]int32, m+1)
+	i := 0
+	for j := range guide {
+		for cdf[i] < float64(j)/float64(m) {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide, theta: theta}
 }
 
 // N reports the support size.
@@ -49,8 +67,19 @@ func (z *Zipf) Theta() float64 { return z.theta }
 
 // Sample draws one value in [0, n).
 func (z *Zipf) Sample(r *Source) int {
-	u := r.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
+	return z.search(r.Float64())
+}
+
+// search returns the first index whose CDF value is ≥ u, for u in [0, 1):
+// sort.SearchFloat64s(z.cdf, u), restricted to u's guide bucket.
+func (z *Zipf) search(u float64) int {
+	j := int(u * float64(len(z.guide)-1))
+	i := int(z.guide[j])
+	// Stops by guide[j+1], whose CDF value is ≥ (j+1)/m > u.
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // Prob reports P(k).
